@@ -1,23 +1,20 @@
 // Command scalebench gates the 100k-node scale push: it times the facility
-// simulation's scale path (struct-of-arrays pools, hierarchical replan
-// rounds, incremental telemetry, cached cap encoding) against the compat
-// path (the pre-refactor flat replan and recursive sampling) across cluster
-// sizes, and writes the comparison to BENCH_scale.json.
+// simulation's scale path (hierarchical replan rounds, incremental cap
+// writes, incremental telemetry) against the compat path (ScaleCompat: the
+// flat replan and recursive telemetry sampling) across cluster sizes, and
+// writes the comparison to BENCH_scale.json. Both lanes run on the event
+// core with the same cached cap encoding.
 //
 // The compat lane runs only up to -compatmax nodes (default 10000) — the
 // point of the scale path is that the compat path stops being usable above
 // that — while the scale lane runs every size, including 100000 nodes for a
-// simulated week. A third lane re-runs the scale path with the parallel
-// replan pipeline (-parallel workers) and verifies, in-process, that its
-// Result is byte-identical to the sequential scale lane's before reporting
-// its wall clock: the parallel lane is only a speedup if it is also exact.
-// The headline number is the speedup at the largest size both exact lanes
-// ran.
+// simulated week. The headline number is the speedup at the largest size
+// both lanes ran.
 //
 // Usage:
 //
 //	scalebench [-sizes 1000,10000,100000] [-days 7] [-compatmax 10000]
-//	           [-telemetry 30m] [-interarrival 3m] [-seed 7] [-parallel N]
+//	           [-telemetry 30m] [-interarrival 3m] [-seed 7]
 //	           [-out BENCH_scale.json] [-cpuprofile prof.out] [-memprofile mem.out]
 package main
 
@@ -46,7 +43,6 @@ import (
 
 type laneReport struct {
 	Seconds          float64 `json:"seconds"`
-	Parallelism      int     `json:"parallelism,omitempty"`
 	EventsDispatched int     `json:"events_dispatched"`
 	Submitted        int     `json:"submitted"`
 	Completed        int     `json:"completed"`
@@ -55,18 +51,10 @@ type laneReport struct {
 }
 
 type sizeReport struct {
-	Nodes    int         `json:"nodes"`
-	Compat   *laneReport `json:"compat,omitempty"`
-	Scale    *laneReport `json:"scale"`
-	Parallel *laneReport `json:"parallel,omitempty"`
-	Speedup  float64     `json:"speedup,omitempty"`
-	// ParallelSpeedup is the sequential scale lane's wall clock over the
-	// parallel lane's. It tracks GOMAXPROCS: on a single-core host the
-	// pipeline runs inline and the ratio sits near 1.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
-	// ParallelExact records that the parallel lane's Result was verified
-	// byte-identical to the sequential scale lane's.
-	ParallelExact bool `json:"parallel_exact,omitempty"`
+	Nodes   int         `json:"nodes"`
+	Compat  *laneReport `json:"compat,omitempty"`
+	Scale   *laneReport `json:"scale"`
+	Speedup float64     `json:"speedup,omitempty"`
 }
 
 type report struct {
@@ -74,9 +62,10 @@ type report struct {
 	TelemetrySeconds  float64 `json:"telemetry_every_seconds"`
 	InterarrivalHours float64 `json:"interarrival_hours"`
 	Seed              uint64  `json:"seed"`
-	// GOMAXPROCS is the host's scheduler width for the run — the context
-	// every parallel-lane wall clock must be read in.
+	// GOMAXPROCS and NumCPU describe the host the wall clocks were taken
+	// on.
 	GOMAXPROCS int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"num_cpu"`
 	Sizes      []sizeReport `json:"sizes"`
 	// SpeedupAtLargestCommon is the headline: compat seconds over scale
 	// seconds at the largest size both lanes completed.
@@ -103,18 +92,16 @@ func env(nNodes int) ([]*node.Node, *charz.DB, []kernel.Config, error) {
 	return c.Nodes()[:nNodes], db, workloads, nil
 }
 
-// runLane runs one lane and returns its timing plus the canonical Result
-// JSON, the byte-identity token the parallel lane is checked against.
-func runLane(nNodes int, mode string, parallelism int, duration, telemetry, interarrival time.Duration, seed uint64) (*laneReport, string, error) {
+// runLane runs one lane and returns its timing and outcome.
+func runLane(nNodes int, mode string, duration, telemetry, interarrival time.Duration, seed uint64) (*laneReport, error) {
 	// Fresh pool per lane: the simulation mutates node state.
 	nodes, db, workloads, err := env(nNodes)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	cfg := facility.Config{
 		Engine:           facility.EngineEvent,
 		ScaleMode:        mode,
-		Parallelism:      parallelism,
 		Nodes:            nodes,
 		DB:               db,
 		Policy:           policy.MixedAdaptive{},
@@ -134,24 +121,15 @@ func runLane(nNodes int, mode string, parallelism int, duration, telemetry, inte
 	// The previous lane's discarded pool is garbage; collect it now so its
 	// sweep cost doesn't land inside this lane's timed window.
 	runtime.GC()
-	lane := mode
-	if parallelism > 0 {
-		lane = fmt.Sprintf("par:%d", parallelism)
-	}
-	log.Printf("%6d nodes, %-6s lane: simulating %v...", nNodes, lane, duration)
+	log.Printf("%6d nodes, %-6s lane: simulating %v...", nNodes, mode, duration)
 	start := time.Now()
 	res, err := facility.Run(context.Background(), cfg)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	wall := time.Since(start)
-	canon, err := json.Marshal(res)
-	if err != nil {
-		return nil, "", err
-	}
 	lr := &laneReport{
 		Seconds:          wall.Seconds(),
-		Parallelism:      parallelism,
 		EventsDispatched: res.EventsDispatched,
 		Submitted:        res.Submitted,
 		Completed:        res.Completed,
@@ -159,8 +137,8 @@ func runLane(nNodes int, mode string, parallelism int, duration, telemetry, inte
 		TotalEnergyJ:     res.TotalEnergy.Joules(),
 	}
 	log.Printf("%6d nodes, %-6s lane: %v wall, %d events, %d/%d jobs completed",
-		nNodes, lane, wall.Round(time.Millisecond), lr.EventsDispatched, lr.Completed, lr.Submitted)
-	return lr, string(canon), nil
+		nNodes, mode, wall.Round(time.Millisecond), lr.EventsDispatched, lr.Completed, lr.Submitted)
+	return lr, nil
 }
 
 func main() {
@@ -172,7 +150,6 @@ func main() {
 	telemetry := flag.Duration("telemetry", 30*time.Minute, "telemetry sampling cadence")
 	interarrival := flag.Duration("interarrival", 3*time.Minute, "mean job inter-arrival time")
 	seed := flag.Uint64("seed", 7, "random seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "replan pipeline workers for the parallel lane (0 skips the lane)")
 	out := flag.String("out", "BENCH_scale.json", "output JSON path")
 	profiles := cliconf.RegisterProfiles(flag.CommandLine)
 	flag.Parse()
@@ -202,37 +179,22 @@ func main() {
 		InterarrivalHours: interarrival.Hours(),
 		Seed:              *seed,
 		GOMAXPROCS:        runtime.GOMAXPROCS(0),
+		NumCPU:            runtime.NumCPU(),
 	}
 	for _, n := range ns {
 		sr := sizeReport{Nodes: n}
 		if n <= *compatMax {
-			lr, _, err := runLane(n, facility.ScaleCompat, 0, duration, *telemetry, *interarrival, *seed)
+			lr, err := runLane(n, facility.ScaleCompat, duration, *telemetry, *interarrival, *seed)
 			if err != nil {
 				log.Fatal(err)
 			}
 			sr.Compat = lr
 		}
-		lr, scaleCanon, err := runLane(n, facility.ScaleOn, 0, duration, *telemetry, *interarrival, *seed)
+		lr, err := runLane(n, facility.ScaleOn, duration, *telemetry, *interarrival, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sr.Scale = lr
-		if *parallel > 0 {
-			pr, parCanon, err := runLane(n, facility.ScaleOn, *parallel, duration, *telemetry, *interarrival, *seed)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if parCanon != scaleCanon {
-				log.Fatalf("%d nodes: parallel lane (workers=%d) diverged from sequential scale lane", n, *parallel)
-			}
-			sr.Parallel = pr
-			sr.ParallelExact = true
-			if pr.Seconds > 0 {
-				sr.ParallelSpeedup = sr.Scale.Seconds / pr.Seconds
-				log.Printf("%6d nodes: parallel lane exact, %.2fx vs sequential scale (workers=%d, GOMAXPROCS=%d)",
-					n, sr.ParallelSpeedup, *parallel, rep.GOMAXPROCS)
-			}
-		}
 		if sr.Compat != nil && sr.Scale.Seconds > 0 {
 			sr.Speedup = sr.Compat.Seconds / sr.Scale.Seconds
 			rep.SpeedupAtLargestCommon = sr.Speedup

@@ -26,23 +26,15 @@ type HierAlloc struct {
 	roomReqs    []Request
 	roomMembers [][]int // room aggregate -> rack aggregate indexes
 
-	grants     []Grant // result buffer, reused
-	roomGrants []Grant // room-round output
-	ws         RoomScratch
-
-	rackNames []string // dense "rackN" label cache, indexed by rack id
-	roomNames []string
-}
-
-// RoomScratch is the per-room sub-round scratch AllocateRoom works in.
-// Allocate uses one internally; parallel replan pipelines that fan rooms
-// out across workers give each worker its own, so the rack and job rounds
-// of different rooms never share buffers. The zero value is ready to use.
-type RoomScratch struct {
-	rackSub    []Request // rack sub-round input
+	grants     []Grant   // result buffer, reused
+	roomGrants []Grant   // room-round output
+	rackSub    []Request // per-room rack sub-round input
 	rackGrants []Grant
 	jobSub     []Request // per-rack job sub-round input
 	jobGrants  []Grant
+
+	rackNames []string // dense "rackN" label cache, indexed by rack id
+	roomNames []string
 }
 
 // rackName returns the cached "rackN" label, growing the cache on first use
@@ -71,36 +63,24 @@ func (h *HierAlloc) roomName(id int) string {
 //
 // The returned slice is owned by h and valid until the next call.
 func (h *HierAlloc) Allocate(budget units.Power, reqs []Request, rackOf, roomOf []int) []Grant {
-	grants, rooms := h.Stage(budget, reqs, rackOf, roomOf)
-	if rooms < 0 {
+	h.grants = grow(h.grants, len(reqs))
+	if len(rackOf) != len(reqs) || len(roomOf) != len(reqs) {
 		h.Obs.HierFallback("topology_len_mismatch", len(reqs))
-		h.grants = grow(h.grants, len(reqs))
 		return allocateInto(h.grants, budget, reqs)
 	}
-	for mi := 0; mi < rooms; mi++ {
-		h.AllocateRoom(mi, reqs, &h.ws, grants)
+	h.aggregate(reqs, rackOf, roomOf)
+	h.roomGrants = grow(h.roomGrants, len(h.roomReqs))
+	allocateInto(h.roomGrants, budget, h.roomReqs)
+	for mi := range h.roomReqs {
+		h.allocateRoom(mi, reqs)
 	}
-	return grants
+	return h.grants
 }
 
-// Stage runs the shared, single-goroutine prefix of a hierarchical
-// allocation: aggregation per rack and per room in first-appearance order,
-// then the room-level water-fill of the budget. It returns the result
-// buffer (owned by h, valid until the next Stage or Allocate) and the room
-// count; per-request grants are not filled in until AllocateRoom has run
-// for every room. Rooms are independent after Stage — a replan pipeline
-// fans AllocateRoom out across workers, each with its own RoomScratch, and
-// gets bit-identical grants at any parallelism because every room's rounds
-// perform the same float operations in the same order as Allocate's
-// sequential loop.
-//
-// A malformed topology (rackOf/roomOf length mismatch) returns (nil, -1)
-// without journaling; callers fall back to Allocate, which journals the
-// degradation.
-func (h *HierAlloc) Stage(budget units.Power, reqs []Request, rackOf, roomOf []int) ([]Grant, int) {
-	if len(rackOf) != len(reqs) || len(roomOf) != len(reqs) {
-		return nil, -1
-	}
+// aggregate sums requests per rack, then racks per room, in
+// first-appearance order — the summation order that keeps the float
+// aggregates deterministic.
+func (h *HierAlloc) aggregate(reqs []Request, rackOf, roomOf []int) {
 	if h.rackIdx == nil {
 		h.rackIdx = make(map[int]int)
 		h.roomIdx = make(map[int]int)
@@ -111,8 +91,6 @@ func (h *HierAlloc) Stage(budget units.Power, reqs []Request, rackOf, roomOf []i
 	h.rackRoom = h.rackRoom[:0]
 	h.roomReqs = h.roomReqs[:0]
 
-	// Aggregate per rack, then racks per room, in first-appearance order
-	// (the summation order that keeps the float aggregates deterministic).
 	for i, r := range reqs {
 		ri, ok := h.rackIdx[rackOf[i]]
 		if !ok {
@@ -148,52 +126,33 @@ func (h *HierAlloc) Stage(budget units.Power, reqs []Request, rackOf, roomOf []i
 		h.roomReqs[mi].MaxUseful += rr.MaxUseful
 		h.roomMembers[mi] = append(h.roomMembers[mi], ri)
 	}
-
-	// The room round: budget water-filled over the room aggregates. The
-	// rack and job rounds below each room run in AllocateRoom.
-	h.grants = grow(h.grants, len(reqs))
-	h.roomGrants = grow(h.roomGrants, len(h.roomReqs))
-	allocateInto(h.roomGrants, budget, h.roomReqs)
-	return h.grants, len(h.roomReqs)
 }
 
-// AllocateRoom runs one staged room's rack and job rounds: the room's
-// grant is water-filled over its racks, each rack's grant over its own
-// requests, and the per-request grants written into grants (the buffer
-// Stage returned) at their request indexes. Rooms touch disjoint request
-// indexes, so concurrent AllocateRoom calls for different rooms — each
-// with its own RoomScratch — are race-free; everything read from h is
-// fixed at Stage time.
-func (h *HierAlloc) AllocateRoom(mi int, reqs []Request, ws *RoomScratch, grants []Grant) {
+// allocateRoom runs room mi's rack and job rounds: the room's grant is
+// water-filled over its racks, each rack's grant over its own requests,
+// and the per-request grants written into h.grants at their request
+// indexes.
+func (h *HierAlloc) allocateRoom(mi int, reqs []Request) {
 	members := h.roomMembers[mi]
-	ws.rackSub = ws.rackSub[:0]
+	h.rackSub = h.rackSub[:0]
 	for _, ri := range members {
-		ws.rackSub = append(ws.rackSub, h.rackReqs[ri])
+		h.rackSub = append(h.rackSub, h.rackReqs[ri])
 	}
-	ws.rackGrants = grow(ws.rackGrants, len(members))
-	allocateInto(ws.rackGrants, h.roomGrants[mi].Budget, ws.rackSub)
+	h.rackGrants = grow(h.rackGrants, len(members))
+	allocateInto(h.rackGrants, h.roomGrants[mi].Budget, h.rackSub)
 	for k, ri := range members {
 		jobs := h.rackMembers[ri]
-		ws.jobSub = ws.jobSub[:0]
+		h.jobSub = h.jobSub[:0]
 		for _, qi := range jobs {
-			ws.jobSub = append(ws.jobSub, reqs[qi])
+			h.jobSub = append(h.jobSub, reqs[qi])
 		}
-		ws.jobGrants = grow(ws.jobGrants, len(jobs))
-		allocateInto(ws.jobGrants, ws.rackGrants[k].Budget, ws.jobSub)
+		h.jobGrants = grow(h.jobGrants, len(jobs))
+		allocateInto(h.jobGrants, h.rackGrants[k].Budget, h.jobSub)
 		for j, qi := range jobs {
-			grants[qi] = Grant{JobID: reqs[qi].JobID, Budget: ws.jobGrants[j].Budget}
+			h.grants[qi] = Grant{JobID: reqs[qi].JobID, Budget: h.jobGrants[j].Budget}
 		}
 	}
 }
-
-// RoomRacks returns room mi's rack aggregate indexes (first-appearance
-// order), valid until the next Stage or Allocate. Read-only for callers.
-func (h *HierAlloc) RoomRacks(mi int) []int { return h.roomMembers[mi] }
-
-// RackRequests returns rack aggregate ri's request indexes
-// (first-appearance order), valid until the next Stage or Allocate.
-// Read-only for callers.
-func (h *HierAlloc) RackRequests(ri int) []int { return h.rackMembers[ri] }
 
 // grow returns s resized to n, reusing capacity.
 func grow[T any](s []T, n int) []T {

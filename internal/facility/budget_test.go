@@ -2,6 +2,7 @@ package facility
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -294,8 +295,12 @@ func TestValidateBudgetFields(t *testing.T) {
 		"non-positive step budget": func(c *Config) {
 			c.BudgetSteps = []BudgetStep{{At: time.Minute}}
 		},
-		"unknown emergency":   func(c *Config) { c.Emergency = "panic" },
-		"negative checkpoint": func(c *Config) { c.CheckpointEvery = -1 },
+		"infinite step budget": func(c *Config) {
+			c.BudgetSteps = []BudgetStep{{At: time.Minute, Budget: units.Power(math.Inf(1))}}
+		},
+		"infinite system budget": func(c *Config) { c.SystemBudget = units.Power(math.Inf(1)) },
+		"unknown emergency":      func(c *Config) { c.Emergency = "panic" },
+		"negative checkpoint":    func(c *Config) { c.CheckpointEvery = -1 },
 	} {
 		bad := base()
 		mutate(&bad)

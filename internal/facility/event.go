@@ -277,21 +277,12 @@ func (s *eventSim) probe(r *evJob, now time.Duration) error {
 	if err != nil {
 		return err
 	}
-	s.applyProbe(r, ir, now)
-	return nil
-}
-
-// applyProbe installs a probed iteration: the measurement itself may have
-// run earlier on a pipeline worker (each job's probe draws from its own
-// RNG and touches only its own hosts, so where it ran is unobservable);
-// the state change and completion re-schedule always happen here, on the
-// engine goroutine, in the deterministic merge order.
-func (s *eventSim) applyProbe(r *evJob, ir bsp.IterationResult, now time.Duration) {
 	s.markJobDirty(r.sj)
 	r.iter = ir
 	r.remaining--
 	r.credited = now + ir.Elapsed
 	s.scheduleCompletion(r)
+	return nil
 }
 
 // scheduleCompletion (re)schedules a job's completion event at the time
@@ -352,19 +343,6 @@ func (s *eventSim) reconcile(now time.Duration, mutated, reprobeAll bool) error 
 	}
 	replanned := false
 	if mutated || len(startedNow) > 0 {
-		if s.pipelined() && !reprobeAll {
-			// The parallel pipeline fuses this replan with the probe loop
-			// below and runs both room by room; its merge replays the exact
-			// sequential order, so falling into it here is unobservable.
-			handled, err := s.replanPipeline(now, fresh)
-			if err != nil {
-				return err
-			}
-			if handled {
-				s.recount()
-				return nil
-			}
-		}
 		if err := s.replan(); err != nil {
 			return err
 		}

@@ -103,15 +103,6 @@ type Config struct {
 	// hierarchical 100k-node ones: ScaleAuto (default — hierarchical above
 	// ScaleThreshold nodes), ScaleOn, or ScaleCompat. See scale.go.
 	ScaleMode string
-	// Parallelism fans the scale-mode replan pipeline out across rooms:
-	// each room's rack allocation rounds, cap-apply batch, and job probes
-	// run as one task, on up to Parallelism workers (1 runs the pipeline
-	// inline, without goroutines). Results are byte-identical at every
-	// setting — the pipeline merges in deterministic order — so this is
-	// purely a wall-clock knob. Zero (the default) keeps the sequential
-	// replan path; the setting is ignored outside scale mode and under the
-	// tick engine. See parallel.go.
-	Parallelism int
 	// TelemetryEvery is the telemetry sampling cadence; zero selects Tick.
 	// Under EngineTick it must be a positive multiple of Tick (samples can
 	// only land on tick boundaries); under EngineEvent any positive cadence
@@ -141,6 +132,12 @@ type Config struct {
 	SpanParent obs.SpanContext
 }
 
+// validBudget reports whether b can be a facility budget: positive and
+// finite (an overflowed "1e308 kW" parses to +Inf).
+func validBudget(b units.Power) bool {
+	return b > 0 && !math.IsInf(b.Watts(), 1)
+}
+
 // telemetryEvery resolves the sampling cadence.
 func (c *Config) telemetryEvery() time.Duration {
 	if c.TelemetryEvery > 0 {
@@ -163,8 +160,8 @@ func (c *Config) Validate() error {
 		return errors.New("facility: no nodes")
 	case c.DB == nil:
 		return errors.New("facility: no characterization database")
-	case c.SystemBudget <= 0:
-		return errors.New("facility: budget must be positive")
+	case !validBudget(c.SystemBudget):
+		return errors.New("facility: budget must be positive and finite")
 	case !c.DisableArrivals && c.MeanInterarrival <= 0:
 		return errors.New("facility: interarrival must be positive")
 	case !c.DisableArrivals && (c.MinJobIterations <= 0 || c.MaxJobIterations < c.MinJobIterations):
@@ -181,8 +178,6 @@ func (c *Config) Validate() error {
 		return errors.New("facility: replan cadence must not be negative")
 	case c.CheckpointEvery < 0:
 		return errors.New("facility: checkpoint cadence must not be negative")
-	case c.Parallelism < 0:
-		return errors.New("facility: parallelism must not be negative")
 	}
 	if !c.Emergency.valid() {
 		return fmt.Errorf("facility: unknown emergency policy %q (want %q, %q, or %q)",
@@ -192,8 +187,8 @@ func (c *Config) Validate() error {
 		if s.At < 0 {
 			return fmt.Errorf("facility: budget step %d at negative time %v", i, s.At)
 		}
-		if s.Budget <= 0 {
-			return fmt.Errorf("facility: budget step %d budget must be positive (got %v)", i, s.Budget)
+		if !validBudget(s.Budget) {
+			return fmt.Errorf("facility: budget step %d budget must be positive and finite (got %v)", i, s.Budget)
 		}
 	}
 	switch c.Engine {
@@ -348,8 +343,7 @@ type simState struct {
 
 	// hier is the scratch-pooled hierarchical allocator the scale-mode
 	// replan reuses round to round, and plan the request/topology scratch
-	// beside it (see scale.go). Both are single-goroutine: the parallel
-	// pipeline builds its plan sequentially before fanning out.
+	// beside it (see scale.go).
 	hier coordinator.HierAlloc
 	plan planScratch
 
@@ -361,11 +355,6 @@ type simState struct {
 	incTel     bool
 	dropStarts []dropStart
 	dropCursor int
-
-	// pool is the lazily started replan worker pool (Parallelism > 1) and
-	// pipe the parallel pipeline's reusable scratch; see parallel.go.
-	pool *replanPool
-	pipe pipeScratch
 }
 
 // testDisableIncremental forces the full linear sweep even where the event
@@ -459,11 +448,6 @@ func setup(cfg Config) (*simState, error) {
 	st.rng = rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
 	st.mgr = rm.NewManager(cfg.Nodes)
 	st.mgr.Obs = st.obs
-	// Explicit compat mode pins the whole pre-scale path, including the
-	// uncached RAPL limit encoding, so benchmarks of "scale" vs "compat"
-	// measure the refactor and not a partial mix. (The cache changes no
-	// observable bits either way — the golden tests pin that.)
-	st.mgr.CompatCapPath = cfg.ScaleMode == ScaleCompat
 	st.mgr.OnQuarantine = func(string, string) { st.res.Quarantined++ }
 	st.mgr.OnRejoin = func(string) { st.res.Rejoined++ }
 	sched, err := rm.NewScheduler(st.mgr, st.db, st.curBudget)

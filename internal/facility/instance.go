@@ -342,8 +342,8 @@ func (in *Instance) ScheduleBudget(at time.Duration, b units.Power) error {
 	default:
 		return ErrInstanceNotStarted
 	}
-	if b <= 0 {
-		return errors.New("facility: budget must be positive")
+	if !validBudget(b) {
+		return errors.New("facility: budget must be positive and finite")
 	}
 	if now := in.core.now(); at < now {
 		at = now

@@ -237,6 +237,59 @@ func TestInstanceServiceLifecycle(t *testing.T) {
 	}
 }
 
+// TestPreemptBeforeFirstCheckpointIsNotResumed pins the resume accounting
+// rule: a job preempted before its first checkpoint boundary has no
+// checkpoint to restore, so its restart runs from iteration zero and is
+// not counted as a resume — only the preemption is.
+func TestPreemptBeforeFirstCheckpointIsNotResumed(t *testing.T) {
+	cfg, workloads := serviceConfig(t)
+	in, err := NewInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	entry, err := cfg.DB.MustGet(workloads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairDemand := entry.MonitorHostPower * 2
+	sub := Submission{Workload: workloads[0], Nodes: 2, Iterations: 300000}
+	if _, err := in.Inject(0, sub); err != nil {
+		t.Fatal(err)
+	}
+	victim, err := in.Inject(0, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The drop lands at the instant both jobs started: the newest-started
+	// one is preempted with no iterations past a checkpoint boundary.
+	if err := in.ScheduleBudget(0, pairDemand*3/2); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Step(ctx, in.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if ji, _ := in.Job(victim); ji.State != JobQueued || ji.Preemptions != 1 {
+		t.Fatalf("victim after drop = %+v, want queued with one preemption", ji)
+	}
+	if err := in.ScheduleBudget(0, cfg.SystemBudget); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Step(ctx, in.Now()); err != nil {
+		t.Fatal(err)
+	}
+	ji, _ := in.Job(victim)
+	if ji.State != JobRunning || ji.Resumes != 0 || ji.Remaining < ji.Iterations-1 {
+		t.Fatalf("victim after restore = %+v, want running from iteration zero with no resume", ji)
+	}
+	if sn := in.Snapshot(); sn.Preempted != 1 || sn.Resumed != 0 {
+		t.Fatalf("snapshot preempted/resumed = %d/%d, want 1/0", sn.Preempted, sn.Resumed)
+	}
+}
+
 // TestInstanceLifecycleStates pins the state machine edges: not-started,
 // pause/resume, and the paused-step refusal, on both engines.
 func TestInstanceLifecycleStates(t *testing.T) {

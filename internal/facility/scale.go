@@ -24,8 +24,9 @@ const (
 	// ScaleOn forces the hierarchical replan and linear telemetry sweep at
 	// any size.
 	ScaleOn = "scale"
-	// ScaleCompat forces the exact flat path at any size — the baseline
-	// lane of cmd/scalebench.
+	// ScaleCompat forces the exact flat replan and recursive telemetry
+	// sampling at any size — the baseline lane of cmd/scalebench. Nothing
+	// else differs from ScaleAuto below the threshold.
 	ScaleCompat = "compat"
 )
 

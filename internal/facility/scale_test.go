@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"testing"
+	"time"
 
 	"powerstack/internal/cluster"
 	"powerstack/internal/fault"
@@ -103,5 +104,81 @@ func TestScaleOnSmallRun(t *testing.T) {
 	// stay near the budget (TDP-capped spin slack allows small overshoot).
 	if res.PeakPower > cfg.SystemBudget+units.Power(len(cfg.Nodes))*20*units.Watt {
 		t.Fatalf("peak power %v far above budget %v", res.PeakPower, cfg.SystemBudget)
+	}
+}
+
+// pipelineFaults is the fault plan the incremental-telemetry equivalence is
+// pinned under: a crash with a scheduled repair, a bounded slow-node
+// window, an MSR write fault (which forces a cap-write failure through the
+// manager's quarantine/spare path), an MSR read fault (whose countdown
+// makes the number of energy reads observable), and a telemetry dropout
+// window that opens between samples.
+func pipelineFaults() *fault.Plan {
+	return fault.NewPlan(
+		fault.Injection{Kind: fault.NodeCrash, Node: "quartz0001", At: 5 * time.Minute, RepairAfter: 10 * time.Minute},
+		fault.Injection{Kind: fault.SlowNode, Node: "quartz0002", At: 7 * time.Minute, Duration: 8 * time.Minute, Factor: 1.4},
+		fault.Injection{Kind: fault.MSRWriteFault, Node: "quartz0003", After: 2},
+		fault.Injection{Kind: fault.MSRReadFault, Node: "quartz0004", After: 40},
+		fault.Injection{Kind: fault.TelemetryDropout, Node: "quartz0005", At: 9 * time.Minute, Duration: 5 * time.Minute},
+	)
+}
+
+// TestIncrementalTelemetryMatchesSweepFacility pins the incremental sampler
+// end to end: a scale-mode event run with dirty-set sampling produces a
+// byte-identical Result to the same run forced onto the full linear sweep,
+// under faults that exercise every volatile branch — crash/repair toggles,
+// a read-fault countdown (pinned leaf), and a dropout window opening
+// between samples.
+func TestIncrementalTelemetryMatchesSweepFacility(t *testing.T) {
+	src, db, workloads := facilityEnv(t, 24)
+	run := func(disable bool) string {
+		testDisableIncremental = disable
+		defer func() { testDisableIncremental = false }()
+		cfg := baseConfig(cluster.ClonePool(src), db, workloads)
+		cfg.JobSizes = []int{2, 4, 8}
+		res := runScaleCase(t, cfg, EngineEvent, ScaleOn, pipelineFaults())
+		if res.Completed == 0 {
+			t.Fatal("no jobs completed")
+		}
+		return resultJSON(t, res)
+	}
+	sweep := run(true)
+	inc := run(false)
+	if sweep != inc {
+		t.Errorf("incremental sample diverged from full sweep\nsweep: %s\ninc:   %s", sweep, inc)
+	}
+}
+
+// TestScaleCompatDivergenceBounded bounds the known scale-vs-compat
+// divergence (satellite of the hierarchical replan): the rack/room
+// water-fill weighs rack-mates only, so its job mix — and therefore
+// completion count and energy — drifts from the flat policy's, but the
+// drift is an approximation, not a fault. At 1000 nodes the recorded
+// BENCH_scale.json gap is ~2.4% completed / ~4.2% energy; this pins the
+// same order of magnitude at test scale (see DESIGN.md "Scale-mode
+// divergence").
+func TestScaleCompatDivergenceBounded(t *testing.T) {
+	src, db, workloads := facilityEnv(t, 48)
+	cfg := func() Config {
+		c := baseConfig(cluster.ClonePool(src), db, workloads)
+		c.JobSizes = []int{2, 4}
+		c.Duration = 45 * time.Minute
+		return c
+	}
+	compat := runScaleCase(t, cfg(), EngineEvent, ScaleCompat, nil)
+	scale := runScaleCase(t, cfg(), EngineEvent, ScaleOn, nil)
+	if compat.Completed == 0 || scale.Completed == 0 {
+		t.Fatalf("degenerate run: compat %d completed, scale %d completed", compat.Completed, scale.Completed)
+	}
+	// Same arrivals, same admission: the divergence is in pacing, not in
+	// what was submitted.
+	if compat.Submitted != scale.Submitted {
+		t.Errorf("Submitted diverged: compat %d, scale %d", compat.Submitted, scale.Submitted)
+	}
+	if d := relDiff(float64(compat.Completed), float64(scale.Completed)); d > 0.10 {
+		t.Errorf("Completed diverged %.1f%% (tolerance 10%%): compat %d, scale %d", 100*d, compat.Completed, scale.Completed)
+	}
+	if d := relDiff(compat.TotalEnergy.Joules(), scale.TotalEnergy.Joules()); d > 0.10 {
+		t.Errorf("TotalEnergy diverged %.1f%% (tolerance 10%%): compat %v, scale %v", 100*d, compat.TotalEnergy, scale.TotalEnergy)
 	}
 }

@@ -135,6 +135,51 @@ func TestServiceEndToEnd(t *testing.T) {
 		t.Fatalf("instance shape = %+v", insts[0])
 	}
 
+	// The pacer runs at 1e9x, so how much virtual time passes between two
+	// requests depends on the wall clock. The budget choreography below
+	// needs exact virtual time — a job preempted before its first
+	// checkpoint restarts from zero and is not a resume — so the instance
+	// is paused and advanced explicitly until the pacer is resumed.
+	var paused apiv1.InstanceStatus
+	if code := post(t, base+"/v1/instances/main/pause", nil, &paused); code != 200 || paused.State != "paused" {
+		t.Fatalf("POST pause = %d %+v", code, paused)
+	}
+	hi, err := h.hosted("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	advance := func(d time.Duration) {
+		t.Helper()
+		hi.mu.Lock()
+		defer hi.mu.Unlock()
+		if err := hi.in.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if err := hi.in.Step(context.Background(), hi.in.Now()+d); err != nil {
+			t.Fatal(err)
+		}
+		if err := hi.in.Pause(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobState := func(id string) apiv1.JobStatus {
+		t.Helper()
+		var js apiv1.JobStatus
+		if code := get(t, base+"/v1/jobs/"+id, &js); code != 200 {
+			t.Fatalf("GET /v1/jobs/%s = %d", id, code)
+		}
+		return js
+	}
+	journaled := func(typ obs.EventType, id string) []obs.Event {
+		var out []obs.Event
+		for _, e := range sink.Journal.Snapshot() {
+			if e.Type == typ && e.Scope == id {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+
 	// Quota partitions: each tenant may hold one two-node job, not two.
 	for _, tenant := range []string{"acme", "beta"} {
 		if code := post(t, base+"/v1/tenants", apiv1.TenantQuotaRequest{
@@ -226,18 +271,36 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Ten virtual minutes carry both jobs well past their first
+	// checkpoint (CheckpointEvery 50 iterations).
+	advance(10 * time.Minute)
+
 	// Live budget drop strands one of the two running pairs: the
-	// emergency path preempts it to its checkpoint.
+	// emergency path preempts the newest-started one (beta's) to its
+	// checkpoint. The drop lands at the current instant; a zero-length
+	// advance dispatches it.
 	var swap apiv1.BudgetSwapResponse
 	if code := post(t, base+"/v1/budget", apiv1.BudgetSwapRequest{
 		BudgetWatts: pairDemand.Watts() * 1.5,
 	}, &swap); code != 200 {
 		t.Fatalf("POST /v1/budget = %d", code)
 	}
+	advance(0)
 	waitFor(t, "budget drop preempting a job", func() bool {
 		st := status()
 		return st.Preempted > 0 && st.BudgetChanges > 0
 	})
+	if bj := jobState(betaJob.JobID); bj.State != "queued" || bj.Preemptions != 1 {
+		t.Fatalf("preempted job = %+v, want queued with one preemption", bj)
+	}
+	if aj := jobState(acmeJob.JobID); aj.State != "running" || aj.Preemptions != 0 {
+		t.Fatalf("surviving job = %+v, want running and never preempted", aj)
+	}
+	pre := journaled(obs.EvJobPreempted, betaJob.JobID)
+	if len(pre) != 1 || pre[0].Value <= 0 {
+		t.Fatalf("preemption journal for %s = %+v, want one event with a checkpoint > 0", betaJob.JobID, pre)
+	}
+	ckpt := int(pre[0].Value)
 
 	// Restore: the preempted job restarts from its checkpoint.
 	if code := post(t, base+"/v1/budget", apiv1.BudgetSwapRequest{
@@ -245,7 +308,21 @@ func TestServiceEndToEnd(t *testing.T) {
 	}, nil); code != 200 {
 		t.Fatalf("POST /v1/budget restore = %d", code)
 	}
+	advance(0)
 	waitFor(t, "preempted job resuming", func() bool { return status().Resumed > 0 })
+	bj := jobState(betaJob.JobID)
+	if bj.State != "running" || bj.Resumes != 1 || bj.Remaining > bj.Iterations-ckpt {
+		t.Fatalf("resumed job = %+v, want running with one resume and at most %d iterations left", bj, bj.Iterations-ckpt)
+	}
+	if res := journaled(obs.EvJobResumed, betaJob.JobID); len(res) != 1 || int(res[0].Value) != ckpt {
+		t.Fatalf("resume journal for %s = %+v, want one event at checkpoint %d", betaJob.JobID, res, ckpt)
+	}
+
+	// Hand virtual time back to the pacer for the rest of the walk.
+	var resumed apiv1.InstanceStatus
+	if code := post(t, base+"/v1/instances/main/resume", nil, &resumed); code != 200 || resumed.State != "running" {
+		t.Fatalf("POST resume = %d %+v", code, resumed)
+	}
 
 	// Policy surface: list, then swap by separator-insensitive name.
 	var plist apiv1.PolicyListResponse
