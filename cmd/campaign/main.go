@@ -10,7 +10,7 @@
 //
 // Usage:
 //
-//	campaign [-nodes N] [-hours H] [-engine event|tick] [-seeds N]
+//	campaign [-nodes N] [-hours H] [-seeds N]
 //	         [-interarrivals 30m,45m] [-budgets "4 kW,6 kW"]
 //	         [-policies all|StaticCaps,MixedAdaptive] [-parallel N]
 //	         [-cachefile charz.json] [-format json|csv] [-out report.json]
@@ -64,7 +64,6 @@ func main() {
 	log.SetPrefix("campaign: ")
 	nNodes := flag.Int("nodes", 16, "cluster size")
 	hours := flag.Float64("hours", 8, "simulated span in hours")
-	engineName := flag.String("engine", powerstack.FacilityEngineEvent, "simulation core: event or tick")
 	seeds := flag.Int("seeds", 5, "replications per scenario cell (seeds 1..N)")
 	interarrivals := flag.String("interarrivals", "30m", "comma-separated mean job inter-arrival times")
 	budgets := flag.String("budgets", "", "comma-separated system budgets (e.g. \"4 kW,6 kW\"; default 240 W/node)")
@@ -175,7 +174,6 @@ func main() {
 	duration := time.Duration(*hours * float64(time.Hour))
 	cfg := powerstack.CampaignConfig{
 		Base: powerstack.FacilityConfig{
-			Engine:           *engineName,
 			MinJobIterations: 2000,
 			MaxJobIterations: 20000,
 			JobSizes:         jobSizes,

@@ -11,18 +11,15 @@
 // Usage:
 //
 //	facility [-nodes N] [-hours H] [-budget "50 kW"] [-policy MixedAdaptive]
-//	         [-interarrival 45s] [-seed N] [-engine event|tick] [-telemetry 5m]
+//	         [-interarrival 45s] [-seed N] [-telemetry 5m]
 //	         [-budgetsteps "2h=8 kW,3h=12 kW"] [-emergency preempt|throttle|kill]
 //	         [-checkpoint K] [-budgetdrops N]
 //	         [-crashes N] [-msrfaults N] [-dropouts N] [-slownodes N] [-faultseed N]
 //	         [-metrics path] [-trace path] [-spans path] [-events path]
 //	         [-debug addr]
 //
-// The -engine flag selects the simulation core: "event" (the default)
-// advances a virtual clock between arrivals, completions, faults, and
-// telemetry samples; "tick" replays the fixed-step loop the event engine
-// is golden-tested against. -telemetry sets the sampling cadence (under
-// the tick engine it must be a multiple of the tick).
+// The simulation advances a virtual clock between arrivals, completions,
+// faults, and telemetry samples; -telemetry sets the sampling cadence.
 //
 // -budgetsteps makes the system budget a timeline: comma-separated
 // "offset=power" pairs schedule budget changes at those offsets from run
@@ -68,7 +65,6 @@ func main() {
 	policyName := flag.String("policy", "MixedAdaptive", "power policy for the running set")
 	interarrival := flag.Duration("interarrival", 45*time.Second, "mean job inter-arrival time")
 	seed := flag.Uint64("seed", 1, "random seed")
-	engineName := flag.String("engine", powerstack.FacilityEngineEvent, "simulation core: event or tick")
 	telemetry := flag.Duration("telemetry", 0, "telemetry sampling cadence (default: one sample per tick)")
 	debugAddr := flag.String("debug", "", "serve the live debug surface (/metrics, /stream/*, pprof) here during the run (\":0\" picks a port)")
 	budgetFlags := cliconf.RegisterBudget(flag.CommandLine, workload.CheckpointInterval(2000, 20000))
@@ -139,7 +135,6 @@ func main() {
 	}
 
 	cfg := powerstack.FacilityConfig{
-		Engine:           *engineName,
 		Policy:           pol,
 		SystemBudget:     budget,
 		BudgetSteps:      steps,
@@ -162,12 +157,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	work := fmt.Sprintf("%d events dispatched", res.EventsDispatched)
-	if cfg.Engine == powerstack.FacilityEngineTick {
-		work = fmt.Sprintf("%d ticks simulated", res.TicksSimulated)
-	}
-	log.Printf("done in %v wall time (%s engine, %s)",
-		time.Since(start).Round(time.Millisecond), cfg.Engine, work)
+	log.Printf("done in %v wall time (%d events dispatched)",
+		time.Since(start).Round(time.Millisecond), res.EventsDispatched)
 
 	// Downsample the trace into a line chart.
 	chart := report.LineChart{

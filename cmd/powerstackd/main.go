@@ -11,7 +11,7 @@
 // Usage:
 //
 //	powerstackd [-addr localhost:8080] [-nodes N] [-policy MixedAdaptive]
-//	            [-engine event|tick] [-hours H] [-speedup X] [-quantum D]
+//	            [-hours H] [-speedup X] [-quantum D]
 //	            [-tick D] [-telemetry D] [-seed N]
 //	            [-budget "12 kW"] [-budgetsteps "2h=8 kW"] [-emergency preempt]
 //	            [-checkpoint K] [-tenants "acme=600 W,beta=1 kW"]
@@ -62,11 +62,10 @@ func main() {
 	addr := flag.String("addr", "localhost:8080", "listen address (\":0\" picks a free port)")
 	nNodes := flag.Int("nodes", 16, "cluster size")
 	policyName := flag.String("policy", "MixedAdaptive", "initial power policy (swap live via POST /v1/policy)")
-	engineName := flag.String("engine", powerstack.FacilityEngineEvent, "simulation core: event or tick")
 	hours := flag.Float64("hours", 168, "virtual horizon in hours")
 	speedup := flag.Float64("speedup", 60, "pacer ratio: virtual seconds per wall second")
 	quantum := flag.Duration("quantum", 0, "virtual span per pacer beat (default: one tick)")
-	tick := flag.Duration("tick", time.Minute, "scheduling tick")
+	tick := flag.Duration("tick", time.Minute, "default telemetry cadence and pacer quantum")
 	telemetry := flag.Duration("telemetry", 0, "telemetry sampling cadence (default: one sample per tick)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	interarrival := flag.Duration("interarrival", 0, "mean arrival gap of synthetic background traffic (0 = external submissions only)")
@@ -125,7 +124,6 @@ func main() {
 		Duration:        duration,
 		Tick:            *tick,
 		TelemetryEvery:  *telemetry,
-		Engine:          *engineName,
 		Seed:            *seed,
 		Obs:             sink,
 	}

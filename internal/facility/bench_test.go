@@ -13,8 +13,8 @@ import (
 )
 
 // benchEnv is facilityEnv without the *testing.T plumbing so benchmarks
-// (and cmd/facilitybench) can rebuild a fresh pool per run — the
-// simulation mutates node state, so pools cannot be reused across runs.
+// can rebuild a fresh pool per run — the simulation mutates node state, so
+// pools cannot be reused across runs.
 func benchEnv(nNodes int) ([]*node.Node, *charz.DB, []kernel.Config, error) {
 	c, err := cluster.New(nNodes+4, cpumodel.Quartz(), cpumodel.QuartzVariation(), 41)
 	if err != nil {
@@ -35,40 +35,33 @@ func benchEnv(nNodes int) ([]*node.Node, *charz.DB, []kernel.Config, error) {
 	return c.Nodes()[:nNodes], db, workloads, nil
 }
 
-// BenchmarkFacilityTickVsEvent compares the two facility cores on a
-// medium, lightly loaded machine room — the regime the event engine is
-// built for, where most ticks have nothing to do. events/op and ticks/op
-// report each core's dispatch work alongside the wall time.
-func BenchmarkFacilityTickVsEvent(b *testing.B) {
+// BenchmarkFacilityEvent runs the facility on a medium, lightly loaded
+// machine room — the regime the event core is built for, where most of
+// virtual time has nothing happening. events/op reports the dispatch work
+// alongside the wall time.
+func BenchmarkFacilityEvent(b *testing.B) {
 	const nNodes = 128
-	for _, eng := range []string{EngineTick, EngineEvent} {
-		b.Run(eng, func(b *testing.B) {
-			var events, ticks int
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				nodes, db, workloads, err := benchEnv(nNodes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := baseConfig(nodes, db, workloads)
-				cfg.Engine = eng
-				cfg.MeanInterarrival = 3 * time.Minute
-				cfg.MinJobIterations = 20000
-				cfg.MaxJobIterations = 40000
-				cfg.JobSizes = []int{2, 4}
-				cfg.Duration = 6 * time.Hour
-				cfg.Tick = 30 * time.Second
-				cfg.TelemetryEvery = 30 * time.Minute
-				b.StartTimer()
-				res, err := Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.EventsDispatched
-				ticks += res.TicksSimulated
-			}
-			b.ReportMetric(float64(events)/float64(b.N), "events/op")
-			b.ReportMetric(float64(ticks)/float64(b.N), "ticks/op")
-		})
+	var events int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		nodes, db, workloads, err := benchEnv(nNodes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := baseConfig(nodes, db, workloads)
+		cfg.MeanInterarrival = 3 * time.Minute
+		cfg.MinJobIterations = 20000
+		cfg.MaxJobIterations = 40000
+		cfg.JobSizes = []int{2, 4}
+		cfg.Duration = 6 * time.Hour
+		cfg.Tick = 30 * time.Second
+		cfg.TelemetryEvery = 30 * time.Minute
+		b.StartTimer()
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += res.EventsDispatched
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

@@ -5,8 +5,8 @@ package facility
 // events, price curves, thermal limits ("Cross-layer Application-aware
 // Power/Energy Management", PAPERS.md). This file makes SystemBudget the
 // *initial* value of a timeline: scheduled BudgetSteps plus fault-plan
-// BudgetDrop emergencies compose into an instantaneous budget the cores
-// evaluate at change points (event core) or window boundaries (tick core).
+// BudgetDrop emergencies compose into an instantaneous budget the event
+// core evaluates at its change points.
 //
 // When a change leaves the running set's committed power above the new
 // budget, the EmergencyPolicy decides the response:
@@ -239,41 +239,6 @@ func (st *simState) recordCheckpoint(id string, remaining int) (ckpt, lost int) 
 		st.checkpoints[id] = ckpt
 	}
 	return ckpt, done - ckpt
-}
-
-// shedTick sheds running jobs until the committed power fits nb, newest
-// started first (the least sunk progress), per the configured emergency
-// policy; throttle sheds nothing and lets the policy squeeze everyone.
-// This is the tick core's flavor, operating on the active slice (which is
-// start-ordered, so the newest job is last); it returns the survivors.
-func (st *simState) shedTick(active []*running, nb units.Power) ([]*running, error) {
-	pol := st.cfg.emergency()
-	if pol == EmergencyThrottle {
-		return active, nil
-	}
-	for st.sched.CommittedPower() > nb && len(active) > 0 {
-		r := active[len(active)-1]
-		active = active[:len(active)-1]
-		id := r.sj.Spec.ID
-		if pol == EmergencyKill {
-			if err := st.sched.Abort(r.sj); err != nil {
-				return nil, err
-			}
-			delete(st.checkpoints, id)
-			st.res.Killed++
-			st.obs.JobKilled(id, st.lengths[id]-r.remaining)
-			st.noteKilled(id, st.vnow())
-			continue
-		}
-		ckpt, lost := st.recordCheckpoint(id, r.remaining)
-		if err := st.sched.Requeue(r.sj); err != nil {
-			return nil, err
-		}
-		st.res.Preempted++
-		st.obs.JobPreempted(id, ckpt, lost)
-		st.notePreempted(id)
-	}
-	return active, nil
 }
 
 // startRemaining resolves a starting job's iteration count, restoring

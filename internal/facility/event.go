@@ -1,14 +1,13 @@
 package facility
 
-// The discrete-event facility core. Where the tick loop pays for every
-// tick — a real BSP iteration per running job, a fault-window scan, a
-// telemetry sample — whether or not anything happened, this core schedules
+// The discrete-event facility core. Rather than paying for every instant of
+// virtual time — a real BSP iteration per running job, a fault-window scan,
+// a telemetry sample — whether or not anything happened, the core schedules
 // each concern as its own event stream on internal/engine and lets the
 // virtual clock jump between them:
 //
 //	arrival     Poisson arrivals at their exact sampled times (the next
-//	            arrival is scheduled when the current one fires — no
-//	            per-tick scan).
+//	            arrival is scheduled when the current one fires).
 //	completion  each running job's end, computed from a probed steady-state
 //	            iteration time and re-scheduled whenever caps change.
 //	fault       the fault plan's Timeline entries (crashes, repairs,
@@ -25,7 +24,6 @@ package facility
 // seed dispatch the same events in the same order.
 
 import (
-	"context"
 	"time"
 
 	"powerstack/internal/bsp"
@@ -36,7 +34,7 @@ import (
 	"powerstack/internal/units"
 )
 
-// evJob is one running job under the event core.
+// evJob is one running job.
 type evJob struct {
 	sj        *rm.ScheduledJob
 	remaining int       // iterations still to run (including uncredited)
@@ -58,9 +56,9 @@ type eventSim struct {
 	eng    *engine.Scheduler
 	active []*evJob
 
-	// Node-utilization accounting is a time integral here, not a per-tick
-	// census: busyIntegral accrues busyNodes over the span since busyAt
-	// every time the active set is about to change.
+	// Node-utilization accounting is a time integral: busyIntegral accrues
+	// busyNodes over the span since busyAt every time the active set is
+	// about to change.
 	busyNodes    int
 	busyAt       time.Duration
 	busyIntegral float64
@@ -76,8 +74,8 @@ func newEventCore(st *simState) *eventSim {
 }
 
 // prime installs the virtual clock and schedules every event stream the
-// configuration implies — the former runEvent prelude.
-func (s *eventSim) prime() error {
+// configuration implies.
+func (s *eventSim) prime() {
 	st := s.simState
 	// The engine advances its clock before dispatching a handler, so its
 	// Now is the correct virtual timestamp for everything recorded inside
@@ -86,8 +84,7 @@ func (s *eventSim) prime() error {
 	s.eng.Obs = st.obs
 
 	// Fault timeline: every crash/repair/slow transition at its exact
-	// onset. The tick loop scans windows (prev, now], so onsets at or
-	// before zero never fire there; mirror that (At == 0 slow nodes are
+	// onset. Onsets at or before zero never fire (At == 0 slow nodes are
 	// already armed by Plan.Arm in setup).
 	for _, tt := range st.cfg.Faults.Timeline() {
 		if tt.At <= 0 || tt.At > st.horizon {
@@ -128,9 +125,8 @@ func (s *eventSim) prime() error {
 	}
 
 	// Telemetry sampling on its own cadence, plus a final sample exactly
-	// at the horizon when the horizon is not a cadence multiple — the tick
-	// core always samples its clamped final window, and the two cores'
-	// energy integrals must agree.
+	// at the horizon when the horizon is not a cadence multiple, so the
+	// tail of the run is observed and its energy integrated.
 	s.eng.Every(st.telEvery, st.telEvery, st.horizon, "sample", s.onSample)
 	if st.horizon%st.telEvery != 0 {
 		s.eng.Schedule(st.horizon, "sample", s.onSample)
@@ -143,16 +139,6 @@ func (s *eventSim) prime() error {
 			s.eng.Schedule(first, "arrival", s.onArrival)
 		}
 	}
-	return nil
-}
-
-// step advances the engine to until, dispatching every due event at its
-// exact virtual time.
-func (s *eventSim) step(ctx context.Context, until time.Duration) error {
-	if until > s.horizon {
-		until = s.horizon
-	}
-	return s.eng.RunUntil(ctx, until)
 }
 
 func (s *eventSim) now() time.Duration { return s.eng.Now() }
@@ -160,7 +146,7 @@ func (s *eventSim) now() time.Duration { return s.eng.Now() }
 // settle closes accounting at the current virtual time: jobs still
 // running keep their uncredited tail (their completions lie beyond the
 // end of the run), but the busy-node integral closes here. For a run
-// stepped to the horizon this is exactly the former runEvent epilogue.
+// stepped to the horizon the integral spans the whole run.
 func (s *eventSim) settle() {
 	now := s.eng.Now()
 	s.accrue(now)
@@ -461,9 +447,9 @@ func (s *eventSim) onRepair(nodeID string, now time.Duration) error {
 	return s.reconcile(now, false, false)
 }
 
-// onSlow opens or closes a slow-node window. Caps do not move (the tick
-// loop never replanned on degradation either), but iteration times did, so
-// every operating point is re-probed and completions re-aimed.
+// onSlow opens or closes a slow-node window. Caps do not move (degradation
+// never triggers a replan), but iteration times did, so every operating
+// point is re-probed and completions re-aimed.
 func (s *eventSim) onSlow(nodeID string, factor float64, now time.Duration) error {
 	n, ok := s.nodeByID[nodeID]
 	if !ok {
@@ -483,7 +469,7 @@ func (s *eventSim) onReplan(now time.Duration) error {
 
 // onSample reads the telemetry hierarchy. Jobs settle first so the energy
 // counters reflect every iteration completed by now — the sampled power is
-// then the same ΔE/Δt the tick loop saw. The sample is judged against the
+// then the true ΔE/Δt over the interval. The sample is judged against the
 // budget in force (curBudget), and energy integrates over the actual gap
 // since the previous sample.
 func (s *eventSim) onSample(now time.Duration) error {
@@ -530,10 +516,10 @@ func (s *eventSim) onBudget(now time.Duration) error {
 	return s.reconcile(now, true, false)
 }
 
-// shed is the event core's emergency response: shed running jobs, newest
-// started first (the least sunk progress), until the committed power fits
-// nb. Preempt checkpoints and requeues; kill aborts outright; throttle
-// sheds nothing and lets the policy squeeze everyone under the new budget.
+// shed is the emergency response: shed running jobs, newest started first
+// (the least sunk progress), until the committed power fits nb. Preempt
+// checkpoints and requeues; kill aborts outright; throttle sheds nothing
+// and lets the policy squeeze everyone under the new budget.
 func (s *eventSim) shed(nb units.Power, now time.Duration) error {
 	pol := s.cfg.emergency()
 	if pol == EmergencyThrottle {

@@ -7,14 +7,11 @@
 // through steady state), and the telemetry hierarchy samples facility
 // power — producing, bottom-up, the kind of trace Figure 1 shows top-down.
 //
-// Two time-advancement cores are available. The default discrete-event
-// core (EngineEvent) schedules arrivals, job completions, faults, policy
-// replans, and telemetry samples at their exact virtual times on
-// internal/engine, jumping straight from one event to the next — a lightly
-// loaded month costs what its events cost, not what its ticks would. The
-// fixed-tick core (EngineTick) is the original loop, kept as a
-// compatibility mode and as the golden reference the equivalence tests
-// compare against.
+// Time advances on a discrete-event core: arrivals, job completions,
+// faults, budget changes, policy replans, and telemetry samples are
+// scheduled at their exact virtual times on internal/engine, and the clock
+// jumps straight from one event to the next — a lightly loaded month costs
+// what its events cost.
 package facility
 
 import (
@@ -38,16 +35,12 @@ import (
 	"powerstack/internal/units"
 )
 
-// Engine selectors for Config.Engine.
-const (
-	// EngineEvent is the discrete-event core: virtual clock, exact-time
-	// arrivals/completions/faults, decoupled telemetry cadence. The
-	// default ("" selects it).
-	EngineEvent = "event"
-	// EngineTick is the original fixed-tick loop, kept for compatibility
-	// and as the equivalence reference.
-	EngineTick = "tick"
-)
+// EngineEvent names the discrete-event core, the only time-advancement
+// core.
+//
+// Deprecated: Config.Engine accepts it for compatibility; leave the field
+// empty instead.
+const EngineEvent = "event"
 
 // Config shapes a facility simulation.
 type Config struct {
@@ -91,27 +84,26 @@ type Config struct {
 	// JobSizes, and Workloads become optional.
 	DisableArrivals bool
 
-	// Duration is the simulated span; Tick the scheduling granularity of
-	// the tick engine (and the default telemetry cadence of both).
+	// Duration is the simulated span. Tick is the default telemetry
+	// cadence (TelemetryEvery) and the default service quantum, the
+	// virtual span a paced service instance advances per beat.
 	Duration time.Duration
 	Tick     time.Duration
 
-	// Engine selects the time-advancement core: EngineEvent (default) or
-	// EngineTick.
+	// Engine names the time-advancement core. Only "" and EngineEvent are
+	// accepted.
+	//
+	// Deprecated: the discrete-event core is the only core; leave Engine
+	// empty.
 	Engine string
 	// ScaleMode selects between the exact flat replan/sample paths and the
 	// hierarchical 100k-node ones: ScaleAuto (default — hierarchical above
 	// ScaleThreshold nodes), ScaleOn, or ScaleCompat. See scale.go.
 	ScaleMode string
 	// TelemetryEvery is the telemetry sampling cadence; zero selects Tick.
-	// Under EngineTick it must be a positive multiple of Tick (samples can
-	// only land on tick boundaries); under EngineEvent any positive cadence
-	// works — decoupling sampling from scheduling is where the event core's
-	// speedup on long horizons comes from.
 	TelemetryEvery time.Duration
 	// ReplanEvery adds a periodic policy replan on top of the
 	// change-driven ones (job start/finish, crash); zero disables it.
-	// Under EngineTick it must be a multiple of Tick.
 	ReplanEvery time.Duration
 
 	Seed uint64
@@ -145,13 +137,6 @@ func (c *Config) telemetryEvery() time.Duration {
 	}
 	return c.Tick
 }
-
-// horizon is the simulated end time: exactly Duration. The tick core
-// clamps its final tick when Duration is not a whole number of ticks
-// (historically it overshot to the next boundary and integrated energy
-// past the horizon), so both engines stop — and take their final
-// telemetry sample — at the same instant.
-func (c *Config) horizon() time.Duration { return c.Duration }
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
@@ -193,15 +178,10 @@ func (c *Config) Validate() error {
 	}
 	switch c.Engine {
 	case "", EngineEvent:
-	case EngineTick:
-		if c.TelemetryEvery > 0 && c.TelemetryEvery%c.Tick != 0 {
-			return fmt.Errorf("facility: tick engine needs TelemetryEvery (%v) to be a multiple of Tick (%v)", c.TelemetryEvery, c.Tick)
-		}
-		if c.ReplanEvery > 0 && c.ReplanEvery%c.Tick != 0 {
-			return fmt.Errorf("facility: tick engine needs ReplanEvery (%v) to be a multiple of Tick (%v)", c.ReplanEvery, c.Tick)
-		}
+	case "tick":
+		return errors.New("facility: the fixed-tick core was removed; leave Engine empty for the event core")
 	default:
-		return fmt.Errorf("facility: unknown engine %q (want %q or %q)", c.Engine, EngineEvent, EngineTick)
+		return fmt.Errorf("facility: unknown engine %q (want %q)", c.Engine, EngineEvent)
 	}
 	switch c.ScaleMode {
 	case ScaleAuto, ScaleOn, ScaleCompat:
@@ -221,14 +201,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// running tracks one admitted job's progress.
-type running struct {
-	sj        *rm.ScheduledJob
-	remaining int
-	submitted time.Time
-	started   time.Time
-}
-
 // Result summarizes a facility simulation.
 type Result struct {
 	// Trace is the facility power series, one sample per telemetry
@@ -242,11 +214,7 @@ type Result struct {
 	// MeanQueueWait averages the submit-to-start delay over jobs that
 	// started; jobs still queued at the end (QueuedAtEnd) never started
 	// and are deliberately excluded — a facility drowning in arrivals can
-	// therefore report a short wait next to a large QueuedAtEnd. Under the
-	// tick engine a job arriving mid-tick starts at the enclosing tick's
-	// beginning, so individual waits (and a lightly loaded mean) can be
-	// slightly negative; the event engine starts jobs at their exact
-	// arrival times and never reports negative waits.
+	// therefore report a short wait next to a large QueuedAtEnd.
 	MeanQueueWait time.Duration
 	// MeanNodeUtilization is the time-averaged fraction of busy nodes.
 	MeanNodeUtilization float64
@@ -278,15 +246,12 @@ type Result struct {
 	// entries and exits over the run (every quarantine reason: crash
 	// drains, failed cap writes, failed releases).
 	Requeued, Quarantined, Rejoined int
-	// EventsDispatched counts discrete events the event engine dispatched
-	// (zero under the tick engine); TicksSimulated counts the tick
-	// engine's iterations (zero under the event engine). Together they
-	// are the work measure BENCH_facility.json tracks.
+	// EventsDispatched counts the discrete events the run dispatched — its
+	// work measure.
 	EventsDispatched int
-	TicksSimulated   int
 }
 
-// simState is the setup shared by both engines: validated config, corrupt
+// simState is the event core's setup: validated config, corrupt
 // database view, managers, telemetry hierarchy, RNG, and the bookkeeping
 // maps the arrival process feeds.
 type simState struct {
@@ -329,10 +294,9 @@ type simState struct {
 
 	// obs is the virtual-clock view of cfg.Obs: it shares the registry,
 	// journal, spans, and stream but stamps everything recorded during the
-	// run with the simulated time read through vclock. vclock is installed
-	// by whichever engine runs (the event core's engine clock, the tick
-	// core's elapsed counter) and reads zero during setup — which is
-	// correct, setup happens at virtual time zero.
+	// run with the simulated time read through vclock. vclock is the event
+	// core's engine clock, installed when the run is primed; it reads zero
+	// during setup — which is correct, setup happens at virtual time zero.
 	obs    *obs.Sink
 	vclock func() time.Duration
 
@@ -347,9 +311,9 @@ type simState struct {
 	hier coordinator.HierAlloc
 	plan planScratch
 
-	// incTel is set when the root samples incrementally (event engine,
-	// scale mode): every energy-state change marks its leaves dirty, so a
-	// sample costs O(dirty) instead of O(nodes). dropStarts is the sorted
+	// incTel is set when the root samples incrementally (scale mode):
+	// every energy-state change marks its leaves dirty, so a sample costs
+	// O(dirty) instead of O(nodes). dropStarts is the sorted
 	// list of telemetry-dropout window starts; dropCursor marks their
 	// leaves dirty from onSample, without scheduling engine events.
 	incTel     bool
@@ -357,8 +321,8 @@ type simState struct {
 	dropCursor int
 }
 
-// testDisableIncremental forces the full linear sweep even where the event
-// core would sample incrementally. Facility tests flip it to pin the
+// testDisableIncremental forces the full linear sweep even where the
+// facility would sample incrementally. Facility tests flip it to pin the
 // incremental sampler against the sweep end to end; it is never set outside
 // tests.
 var testDisableIncremental bool
@@ -426,7 +390,7 @@ func setup(cfg Config) (*simState, error) {
 		jobs:        map[string]*JobInfo{},
 		steps:       cfg.sortedSteps(),
 		checkpoints: map[string]int{},
-		horizon:     cfg.horizon(),
+		horizon:     cfg.Duration,
 		telEvery:    cfg.telemetryEvery(),
 	}
 	st.curBudget = st.budgetAt(0)
@@ -493,12 +457,11 @@ func setup(cfg Config) (*simState, error) {
 	}
 	cfg.Faults.Arm(cfg.Nodes, st.obs)
 	root.SetFaultPlan(cfg.Faults, st.start, st.obs)
-	if st.scale && cfg.Engine != EngineTick && !testDisableIncremental {
+	if st.scale && !testDisableIncremental {
 		// The event core marks leaves dirty on every energy-state change
 		// (probes, steady-state credits, crashes, repairs, dropout-window
 		// starts), so the root can sample incrementally — bit-identical to
-		// the full sweep, at O(dirty) cost. The tick core has no such
-		// marking and keeps the linear sweep.
+		// the full sweep, at O(dirty) cost.
 		root.SetIncremental(true)
 		st.incTel = true
 		if cfg.Faults != nil {
@@ -578,13 +541,13 @@ func (st *simState) replan() error {
 }
 
 // submitArrival draws one arrival from the config RNG and enqueues it. The
-// draw order (workload, size, length, next gap) is shared by both engines
-// so the same seed produces the same job sequence. A submission whose
-// demand exceeds the budget in force (rm.ErrBudgetInfeasible — possible
-// under a dynamic timeline) is a degradation, not an error: the job is
-// journaled as rejected and dropped, and the length and gap draws still
-// happen so a rejection never perturbs the arrival sequence behind it. It
-// returns the gap to the next arrival.
+// draw order (workload, size, length, next gap) is fixed, so the same seed
+// produces the same job sequence. A submission whose demand exceeds the
+// budget in force (rm.ErrBudgetInfeasible — possible under a dynamic
+// timeline) is a degradation, not an error: the job is journaled as
+// rejected and dropped, and the length and gap draws still happen so a
+// rejection never perturbs the arrival sequence behind it. It returns the
+// gap to the next arrival.
 func (st *simState) submitArrival(at time.Time) (time.Duration, error) {
 	st.jobSeq++
 	spec := rm.JobSpec{
@@ -615,7 +578,7 @@ func (st *simState) submitArrival(at time.Time) (time.Duration, error) {
 	return gap, nil
 }
 
-// finalize computes the aggregate statistics both engines share.
+// finalize computes the run's aggregate statistics.
 func (st *simState) finalize() {
 	res := st.res
 	res.QueuedAtEnd = len(st.sched.Queue())
@@ -634,9 +597,8 @@ func (st *simState) finalize() {
 	}
 }
 
-// Run executes the simulation on the configured engine (EngineEvent by
-// default). Cancelling ctx stops the run at the next event or tick
-// boundary with ctx's error. Run is a thin loop over the re-entrant
+// Run executes the simulation. Cancelling ctx stops the run at the next
+// event with ctx's error. Run is a thin loop over the re-entrant
 // Instance — build, start, step straight to the horizon, close — and
 // produces byte-identical Results to the pre-Instance monolith (pinned by
 // the chunked-stepping equivalence tests in instance_test.go).
@@ -659,8 +621,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // expDuration samples an exponential inter-arrival gap. The result is
 // clamped to at least 1ns: a mean so small that the sampled gap truncates
-// to zero would otherwise stall the arrival loop (and the event engine's
-// arrival chain) at a single instant forever.
+// to zero would otherwise stall the arrival chain at a single instant
+// forever.
 func expDuration(rng *rand.Rand, mean time.Duration) time.Duration {
 	u := rng.Float64()
 	if u <= 0 {

@@ -8,13 +8,8 @@ package facility
 // observable mid-flight. Instance is that object: Run is now a thin loop
 // over it (NewInstance → Start → Step(horizon) → Close) and produces
 // byte-identical Results to the former monolith — the equivalence the
-// chunked-stepping tests pin.
-//
-// Both time-advancement cores sit behind the small core interface. The
-// event core advances to exact virtual instants, so Step(until) stops on
-// the nanosecond; the tick core advances in whole scheduling ticks, so
-// Step runs through the tick containing until. Everything else — inject,
-// live budget steps, policy swaps, snapshots — works identically on both.
+// chunked-stepping tests pin. The event core advances to exact virtual
+// instants, so Step(until) stops on the nanosecond.
 
 import (
 	"context"
@@ -142,40 +137,10 @@ type Snapshot struct {
 	Rejected, Preempted, Killed, Resumed int
 	Requeued, Quarantined, Rejoined      int
 	BudgetChanges, BudgetViolationTicks  int
-	EventsDispatched, TicksSimulated     int
+	EventsDispatched                     int
 	// LastPower and LastSampleAt are the most recent telemetry sample.
 	LastPower    units.Power
 	LastSampleAt time.Duration
-}
-
-// core is the time-advancement engine behind an Instance: the discrete-
-// event core or the fixed-tick core. All methods are single-goroutine,
-// like the simulation layers they drive.
-type core interface {
-	// prime readies the run (schedules event chains, arms the arrival
-	// process); step advances virtual time toward until (the tick core
-	// runs through the tick containing until); now is the virtual clock.
-	prime() error
-	step(ctx context.Context, until time.Duration) error
-	now() time.Duration
-	// settle closes the run's integrals (utilization, work counters)
-	// into the Result at the current virtual time.
-	settle()
-	// running snapshots the active set.
-	running() []RunningJob
-	// injectNow enqueues a submission at the current virtual time,
-	// surfacing admission errors synchronously; injectAt defers one to a
-	// future virtual time, where admission errors degrade to journaled
-	// rejections.
-	injectNow(sub Submission) (string, error)
-	injectAt(at time.Duration, sub Submission)
-	// budgetPoint tells the core a new budget-timeline point exists at
-	// at (the event core schedules a change event; the tick core
-	// re-evaluates the timeline every window anyway).
-	budgetPoint(at time.Duration)
-	// policySwapped reacts to a live policy change (replan under the new
-	// policy).
-	policySwapped() error
 }
 
 // Instance is a re-entrant facility simulation: the same event core behind
@@ -184,26 +149,19 @@ type core interface {
 // mutex per hosted instance).
 type Instance struct {
 	st       *simState
-	core     core
+	core     *eventSim
 	state    InstanceState
 	sp       *obs.Span
 	released bool
 }
 
-// NewInstance validates cfg and builds a ready-to-start instance on the
-// configured engine (EngineEvent by default).
+// NewInstance validates cfg and builds a ready-to-start instance.
 func NewInstance(cfg Config) (*Instance, error) {
 	st, err := setup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	in := &Instance{st: st, state: InstanceNew}
-	if cfg.Engine == EngineTick {
-		in.core = newTickCore(st)
-	} else {
-		in.core = newEventCore(st)
-	}
-	return in, nil
+	return &Instance{st: st, core: newEventCore(st), state: InstanceNew}, nil
 }
 
 // Start opens the run's root span and primes the engine. It may be called
@@ -220,17 +178,15 @@ func (in *Instance) Start() error {
 		SetIter(len(in.st.cfg.Nodes)).SetValue(in.st.cfg.SystemBudget.Watts())
 	in.sp = sp
 	in.st.spanCtx = sp.Ctx()
-	if err := in.core.prime(); err != nil {
-		return err
-	}
+	in.core.prime()
 	in.state = InstanceRunning
 	return nil
 }
 
 // Step advances virtual time toward until (clamped to the horizon),
-// dispatching every due event. Cancelling ctx stops at the next event or
-// tick boundary with ctx's error; the instance stays steppable. A paused
-// instance refuses with ErrInstancePaused.
+// dispatching every due event at its exact virtual time. Cancelling ctx
+// stops at the next event with ctx's error; the instance stays steppable.
+// A paused instance refuses with ErrInstancePaused.
 func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	switch in.state {
 	case InstanceRunning:
@@ -244,7 +200,7 @@ func (in *Instance) Step(ctx context.Context, until time.Duration) error {
 	if until > in.st.horizon {
 		until = in.st.horizon
 	}
-	return in.core.step(ctx, until)
+	return in.core.eng.RunUntil(ctx, until)
 }
 
 // Pause freezes the instance: Step refuses until Resume. Injections and
@@ -444,7 +400,6 @@ func (in *Instance) Snapshot() Snapshot {
 		BudgetChanges:        res.BudgetChanges,
 		BudgetViolationTicks: res.BudgetViolationTicks,
 		EventsDispatched:     res.EventsDispatched,
-		TicksSimulated:       res.TicksSimulated,
 	}
 	for _, t := range st.sched.Tenants() {
 		sn.Tenants = append(sn.Tenants, TenantSnapshot{
@@ -494,15 +449,6 @@ func (in *Instance) release() {
 }
 
 // --- simState: injected submissions and job-lifecycle tracking ---
-
-// vnow reads the installed virtual clock (zero before an engine installs
-// one — setup happens at virtual time zero).
-func (st *simState) vnow() time.Duration {
-	if st.vclock == nil {
-		return 0
-	}
-	return st.vclock()
-}
 
 // validateSubmission front-checks an injected submission against the
 // instance's world: shape, node feasibility, characterization, and ID
@@ -617,18 +563,23 @@ func (st *simState) noteCompleted(id string, at time.Duration) {
 }
 
 // noteRequeued returns a job to the queue after a crash drained one of
-// its hosts.
+// its hosts. Call it after recordCheckpoint: Remaining becomes what the
+// restart will run — the iterations past the last checkpoint, or the full
+// length without one.
 func (st *simState) noteRequeued(id string) {
 	if ji := st.jobs[id]; ji != nil {
 		ji.State = JobQueued
+		ji.Remaining = ji.Iterations - st.checkpoints[id]
 		ji.Requeues++
 	}
 }
 
-// notePreempted returns a job to the queue after a budget emergency.
+// notePreempted returns a job to the queue after a budget emergency, with
+// Remaining set as in noteRequeued.
 func (st *simState) notePreempted(id string) {
 	if ji := st.jobs[id]; ji != nil {
 		ji.State = JobQueued
+		ji.Remaining = ji.Iterations - st.checkpoints[id]
 		ji.Preemptions++
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"powerstack/internal/fault"
 	"powerstack/internal/kernel"
 	"powerstack/internal/policy"
 	"powerstack/internal/rm"
@@ -46,9 +47,9 @@ func runChunked(t *testing.T, cfg Config, chunks []time.Duration) *Result {
 
 // TestRunOverInstanceChunkedByteIdentical is the batch-vs-service
 // equivalence pin: Run (one shot over the Instance) and a manually
-// chunked Instance produce byte-identical Results — both engines, with
-// and without a fault plan and a budget timeline. The chunk boundaries
-// are deliberately hostile: repeated (no-op steps), tick-misaligned, and
+// chunked Instance produce byte-identical Results, with and without a
+// fault plan and a budget timeline. The chunk boundaries are deliberately
+// hostile: repeated (no-op steps), off the sampling cadence, and
 // nanosecond-odd.
 func TestRunOverInstanceChunkedByteIdentical(t *testing.T) {
 	chunks := []time.Duration{
@@ -69,34 +70,30 @@ func TestRunOverInstanceChunkedByteIdentical(t *testing.T) {
 			}
 		},
 	}
-	for _, eng := range []string{EngineEvent, EngineTick} {
-		for name, mutate := range variants {
-			t.Run(eng+"/"+name, func(t *testing.T) {
-				oneShot := goldenConfig(t)
-				oneShot.Engine = eng
-				mutate(&oneShot)
-				want, err := Run(context.Background(), oneShot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				chunkedCfg := goldenConfig(t) // fresh nodes: runs mutate them
-				chunkedCfg.Engine = eng
-				mutate(&chunkedCfg)
-				got := runChunked(t, chunkedCfg, chunks)
+	for name, mutate := range variants {
+		t.Run("event/"+name, func(t *testing.T) {
+			oneShot := goldenConfig(t)
+			mutate(&oneShot)
+			want, err := Run(context.Background(), oneShot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunkedCfg := goldenConfig(t) // fresh nodes: runs mutate them
+			mutate(&chunkedCfg)
+			got := runChunked(t, chunkedCfg, chunks)
 
-				wantJSON, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotJSON, err := json.Marshal(got)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(wantJSON, gotJSON) {
-					t.Errorf("chunked Instance diverged from Run:\n run: %s\n chunked: %s", wantJSON, gotJSON)
-				}
-			})
-		}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJSON, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wantJSON, gotJSON) {
+				t.Errorf("chunked Instance diverged from Run:\n run: %s\n chunked: %s", wantJSON, gotJSON)
+			}
+		})
 	}
 }
 
@@ -290,57 +287,126 @@ func TestPreemptBeforeFirstCheckpointIsNotResumed(t *testing.T) {
 	}
 }
 
-// TestInstanceLifecycleStates pins the state machine edges: not-started,
-// pause/resume, and the paused-step refusal, on both engines.
-func TestInstanceLifecycleStates(t *testing.T) {
-	for _, eng := range []string{EngineEvent, EngineTick} {
-		t.Run(eng, func(t *testing.T) {
-			cfg, workloads := serviceConfig(t)
-			cfg.Engine = eng
-			in, err := NewInstance(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstanceNotStarted) {
-				t.Fatalf("Step before Start err = %v", err)
-			}
-			if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 10}); !errors.Is(err, ErrInstanceNotStarted) {
-				t.Fatalf("Inject before Start err = %v", err)
-			}
-			if err := in.Start(); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Start(); err == nil {
-				t.Fatal("second Start accepted")
-			}
-			if err := in.Pause(); err != nil {
-				t.Fatal(err)
-			}
-			if in.State() != InstancePaused {
-				t.Fatalf("state = %s, want paused", in.State())
-			}
-			if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstancePaused) {
-				t.Fatalf("Step while paused err = %v", err)
-			}
-			// Injections while paused are legal and take effect now.
-			if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 100}); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Resume(); err != nil {
-				t.Fatal(err)
-			}
-			if err := in.Step(ctx, time.Minute); err != nil {
-				t.Fatal(err)
-			}
-			if in.Now() < time.Minute {
-				t.Fatalf("now = %v after stepping to 1m", in.Now())
-			}
-			if _, err := in.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
+// TestQueuedJobRemainingFromCheckpoint pins the status a job reports while
+// back in the queue: after a preemption (budget emergency) or a requeue
+// (crash) its Remaining is what its restart will run — the iterations past
+// its last checkpoint — not its full length.
+func TestQueuedJobRemainingFromCheckpoint(t *testing.T) {
+	cfg, workloads := serviceConfig(t)
+	// Every node crashes at 20m, so whichever hosts a running job holds
+	// are drained and nothing can restart afterwards.
+	var crashes []fault.Injection
+	for _, n := range cfg.Nodes {
+		crashes = append(crashes, fault.Injection{Kind: fault.NodeCrash, Node: n.ID, At: 20 * time.Minute})
 	}
+	cfg.Faults = fault.NewPlan(crashes...)
+	in, err := NewInstance(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	ctx := context.Background()
+	entry, err := cfg.DB.MustGet(workloads[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := Submission{Workload: workloads[0], Nodes: 2, Iterations: 3000000}
+	first, err := in.Inject(0, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := in.Inject(0, sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertQueuedRemaining := func(id string) {
+		t.Helper()
+		ji, _ := in.Job(id)
+		ckpt := in.st.checkpoints[id]
+		if ji.State != JobQueued || ckpt <= 0 {
+			t.Fatalf("job %s = %+v with checkpoint %d, want queued past a checkpoint", id, ji, ckpt)
+		}
+		if want := ji.Iterations - ckpt; ji.Remaining != want {
+			t.Errorf("queued job %s Remaining = %d, want Iterations-checkpoint = %d", id, ji.Remaining, want)
+		}
+	}
+
+	// Preemption: a live drop leaves room for one pair at 5m.
+	if err := in.Step(ctx, 5*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.ScheduleBudget(0, entry.MonitorHostPower*3); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Step(ctx, in.Now()); err != nil {
+		t.Fatal(err)
+	}
+	assertQueuedRemaining(victim)
+
+	// Requeue: the crashes drain the survivor's hosts.
+	if ji, _ := in.Job(first); ji.State != JobRunning {
+		t.Fatalf("survivor %s = %+v, want running", first, ji)
+	}
+	if err := in.Step(ctx, 20*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if ji, _ := in.Job(first); ji.Requeues == 0 {
+		t.Fatalf("survivor after crash = %+v, want requeued", ji)
+	}
+	assertQueuedRemaining(first)
+}
+
+// TestInstanceLifecycleStates pins the state machine edges: not-started,
+// pause/resume, and the paused-step refusal.
+func TestInstanceLifecycleStates(t *testing.T) {
+	t.Run("event", func(t *testing.T) {
+		cfg, workloads := serviceConfig(t)
+		in, err := NewInstance(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstanceNotStarted) {
+			t.Fatalf("Step before Start err = %v", err)
+		}
+		if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 10}); !errors.Is(err, ErrInstanceNotStarted) {
+			t.Fatalf("Inject before Start err = %v", err)
+		}
+		if err := in.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Start(); err == nil {
+			t.Fatal("second Start accepted")
+		}
+		if err := in.Pause(); err != nil {
+			t.Fatal(err)
+		}
+		if in.State() != InstancePaused {
+			t.Fatalf("state = %s, want paused", in.State())
+		}
+		if err := in.Step(ctx, time.Minute); !errors.Is(err, ErrInstancePaused) {
+			t.Fatalf("Step while paused err = %v", err)
+		}
+		// Injections while paused are legal and take effect now.
+		if _, err := in.Inject(0, Submission{Workload: workloads[0], Nodes: 1, Iterations: 100}); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Step(ctx, time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if in.Now() < time.Minute {
+			t.Fatalf("now = %v after stepping to 1m", in.Now())
+		}
+		if _, err := in.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestInstanceInjectValidation covers the synchronous admission checks.

@@ -3,6 +3,7 @@ package facility
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -21,11 +22,19 @@ func resultJSON(t *testing.T, res *Result) string {
 	return string(b)
 }
 
+// relDiff returns |a-b| / max(|a|,|b|).
+func relDiff(a, b float64) float64 {
+	den := math.Max(math.Abs(a), math.Abs(b))
+	if den == 0 {
+		return 0
+	}
+	return math.Abs(a-b) / den
+}
+
 // runScaleCase runs the golden scenario on the given pool with the given
-// engine, scale mode, and fault plan.
-func runScaleCase(t *testing.T, cfg Config, engine, mode string, faults *fault.Plan) *Result {
+// scale mode and fault plan.
+func runScaleCase(t *testing.T, cfg Config, mode string, faults *fault.Plan) *Result {
 	t.Helper()
-	cfg.Engine = engine
 	cfg.ScaleMode = mode
 	cfg.Faults = faults
 	res, err := Run(context.Background(), cfg)
@@ -38,50 +47,45 @@ func runScaleCase(t *testing.T, cfg Config, engine, mode string, faults *fault.P
 // TestSoAPoolByteIdenticalToClonePool pins the struct-of-arrays node state
 // against the seed path: a facility run on a PoolState's view nodes (dense
 // words carved from one flat arena) produces a byte-identical Result to the
-// same run on a ClonePool of the same source — on both engines, faults on
-// and off.
+// same run on a ClonePool of the same source — faults on and off.
 func TestSoAPoolByteIdenticalToClonePool(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 10)
-	for _, engine := range []string{EngineEvent, EngineTick} {
-		for _, withFaults := range []bool{false, true} {
-			var faults *fault.Plan
-			if withFaults {
-				faults = goldenFaults()
-			}
-			cloneCfg := baseConfig(cluster.ClonePool(src), db, workloads)
-			cloneRes := runScaleCase(t, cloneCfg, engine, ScaleAuto, faults)
+	for _, withFaults := range []bool{false, true} {
+		var faults *fault.Plan
+		if withFaults {
+			faults = goldenFaults()
+		}
+		cloneCfg := baseConfig(cluster.ClonePool(src), db, workloads)
+		cloneRes := runScaleCase(t, cloneCfg, ScaleAuto, faults)
 
-			ps, err := cluster.NewPoolState(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			soaCfg := baseConfig(ps.Nodes(), db, workloads)
-			soaRes := runScaleCase(t, soaCfg, engine, ScaleAuto, faults)
+		ps, err := cluster.NewPoolState(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		soaCfg := baseConfig(ps.Nodes(), db, workloads)
+		soaRes := runScaleCase(t, soaCfg, ScaleAuto, faults)
 
-			if a, b := resultJSON(t, cloneRes), resultJSON(t, soaRes); a != b {
-				t.Errorf("engine %s faults %v: SoA pool diverged from ClonePool\nclone: %s\nsoa:   %s", engine, withFaults, a, b)
-			}
+		if a, b := resultJSON(t, cloneRes), resultJSON(t, soaRes); a != b {
+			t.Errorf("faults %v: SoA pool diverged from ClonePool\nclone: %s\nsoa:   %s", withFaults, a, b)
 		}
 	}
 }
 
 // TestScaleAutoExactBelowThreshold pins the exactness fallback: at small N
 // the auto scale mode takes the flat replan and recursive sample paths, so
-// its Result is byte-identical to an explicit compat run — both engines,
-// faults on and off.
+// its Result is byte-identical to an explicit compat run — faults on and
+// off.
 func TestScaleAutoExactBelowThreshold(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 10)
-	for _, engine := range []string{EngineEvent, EngineTick} {
-		for _, withFaults := range []bool{false, true} {
-			var faults *fault.Plan
-			if withFaults {
-				faults = goldenFaults()
-			}
-			autoRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), engine, ScaleAuto, faults)
-			compatRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), engine, ScaleCompat, faults)
-			if a, b := resultJSON(t, autoRes), resultJSON(t, compatRes); a != b {
-				t.Errorf("engine %s faults %v: auto mode diverged from compat below threshold\nauto:   %s\ncompat: %s", engine, withFaults, a, b)
-			}
+	for _, withFaults := range []bool{false, true} {
+		var faults *fault.Plan
+		if withFaults {
+			faults = goldenFaults()
+		}
+		autoRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), ScaleAuto, faults)
+		compatRes := runScaleCase(t, baseConfig(cluster.ClonePool(src), db, workloads), ScaleCompat, faults)
+		if a, b := resultJSON(t, autoRes), resultJSON(t, compatRes); a != b {
+			t.Errorf("faults %v: auto mode diverged from compat below threshold\nauto:   %s\ncompat: %s", withFaults, a, b)
 		}
 	}
 }
@@ -93,7 +97,7 @@ func TestScaleOnSmallRun(t *testing.T) {
 	src, db, workloads := facilityEnv(t, 32)
 	cfg := baseConfig(cluster.ClonePool(src), db, workloads)
 	cfg.JobSizes = []int{2, 4, 8}
-	res := runScaleCase(t, cfg, EngineEvent, ScaleOn, nil)
+	res := runScaleCase(t, cfg, ScaleOn, nil)
 	if res.Completed == 0 {
 		t.Fatal("scale-mode run completed no jobs")
 	}
@@ -136,7 +140,7 @@ func TestIncrementalTelemetryMatchesSweepFacility(t *testing.T) {
 		defer func() { testDisableIncremental = false }()
 		cfg := baseConfig(cluster.ClonePool(src), db, workloads)
 		cfg.JobSizes = []int{2, 4, 8}
-		res := runScaleCase(t, cfg, EngineEvent, ScaleOn, pipelineFaults())
+		res := runScaleCase(t, cfg, ScaleOn, pipelineFaults())
 		if res.Completed == 0 {
 			t.Fatal("no jobs completed")
 		}
@@ -165,8 +169,8 @@ func TestScaleCompatDivergenceBounded(t *testing.T) {
 		c.Duration = 45 * time.Minute
 		return c
 	}
-	compat := runScaleCase(t, cfg(), EngineEvent, ScaleCompat, nil)
-	scale := runScaleCase(t, cfg(), EngineEvent, ScaleOn, nil)
+	compat := runScaleCase(t, cfg(), ScaleCompat, nil)
+	scale := runScaleCase(t, cfg(), ScaleOn, nil)
 	if compat.Completed == 0 || scale.Completed == 0 {
 		t.Fatalf("degenerate run: compat %d completed, scale %d completed", compat.Completed, scale.Completed)
 	}

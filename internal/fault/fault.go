@@ -175,7 +175,7 @@ func (p *Plan) Validate() error {
 // Arm applies the plan's immediate hardware faults to the given pool:
 // MSR read/write countdown faults, and slow-node degradations whose onset is
 // the start of the run (At == 0 — the only onset the clockless evaluation
-// grid can honor; the facility applies timed ones itself via ApplyAt). Nodes
+// grid can honor; the facility schedules timed ones itself from Timeline). Nodes
 // named by the plan but absent from the pool are skipped: one plan can cover
 // a whole cluster while each evaluation cell arms only its own clones.
 // Every armed injection is journaled through sink (nil-safe).
@@ -228,8 +228,7 @@ type Transition struct {
 const NodeRepair Kind = "node_repair"
 
 // ApplyAt computes the time-scheduled transitions firing in (prev, now]:
-// crashes, scheduled repairs, and slow-node windows opening or closing. The
-// facility tick loop calls it once per tick with its simulated clock.
+// crashes, scheduled repairs, and slow-node windows opening or closing.
 // Telemetry dropouts need no transition — DropoutActive answers them
 // statelessly.
 func (p *Plan) ApplyAt(prev, now time.Duration) []Transition {

@@ -2,77 +2,100 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // ParsePower parses strings like "120W", "95.5 W", "216kW", "1.35 MW" into
-// a Power. A bare number is watts.
+// a Power. A bare number is watts. A value the unit overflows to infinity
+// ("1e308 kW") is an error.
 func ParsePower(s string) (Power, error) {
 	value, unit, err := splitQuantity(s)
 	if err != nil {
 		return 0, fmt.Errorf("units: parsing power %q: %w", s, err)
 	}
+	var scale Power
 	switch strings.ToLower(unit) {
 	case "", "w":
-		return Power(value), nil
+		scale = Watt
 	case "mw":
 		// Case decides: "mW" milliwatt vs "MW" megawatt.
 		if strings.Contains(unit, "M") {
-			return Power(value) * Megawatt, nil
+			scale = Megawatt
+		} else {
+			scale = Milliwatt
 		}
-		return Power(value) * Milliwatt, nil
 	case "kw":
-		return Power(value) * Kilowatt, nil
+		scale = Kilowatt
 	default:
 		return 0, fmt.Errorf("units: parsing power %q: unknown unit %q", s, unit)
 	}
+	p := Power(value) * scale
+	if math.IsInf(float64(p), 0) {
+		return 0, fmt.Errorf("units: parsing power %q: out of range", s)
+	}
+	return p, nil
 }
 
 // ParseFrequency parses strings like "2.1GHz", "2100 MHz", "1800000 kHz"
-// into a Frequency. A bare number is hertz.
+// into a Frequency. A bare number is hertz. A value the unit overflows to
+// infinity is an error.
 func ParseFrequency(s string) (Frequency, error) {
 	value, unit, err := splitQuantity(s)
 	if err != nil {
 		return 0, fmt.Errorf("units: parsing frequency %q: %w", s, err)
 	}
+	var scale Frequency
 	switch strings.ToLower(unit) {
 	case "", "hz":
-		return Frequency(value), nil
+		scale = Hertz
 	case "khz":
-		return Frequency(value) * Kilohertz, nil
+		scale = Kilohertz
 	case "mhz":
-		return Frequency(value) * Megahertz, nil
+		scale = Megahertz
 	case "ghz":
-		return Frequency(value) * Gigahertz, nil
+		scale = Gigahertz
 	default:
 		return 0, fmt.Errorf("units: parsing frequency %q: unknown unit %q", s, unit)
 	}
+	f := Frequency(value) * scale
+	if math.IsInf(float64(f), 0) {
+		return 0, fmt.Errorf("units: parsing frequency %q: out of range", s)
+	}
+	return f, nil
 }
 
 // ParseEnergy parses strings like "15.3uJ", "9.8 kJ", "1.2MJ", "3 Wh".
-// A bare number is joules.
+// A bare number is joules. A value the unit overflows to infinity is an
+// error.
 func ParseEnergy(s string) (Energy, error) {
 	value, unit, err := splitQuantity(s)
 	if err != nil {
 		return 0, fmt.Errorf("units: parsing energy %q: %w", s, err)
 	}
+	var scale Energy
 	switch strings.ToLower(unit) {
 	case "", "j":
-		return Energy(value), nil
+		scale = Joule
 	case "uj", "µj":
-		return Energy(value) * Microjoule, nil
+		scale = Microjoule
 	case "kj":
-		return Energy(value) * Kilojoule, nil
+		scale = Kilojoule
 	case "mj":
-		return Energy(value) * Megajoule, nil
+		scale = Megajoule
 	case "wh":
-		return Energy(value) * WattHour, nil
+		scale = WattHour
 	case "kwh":
-		return Energy(value) * KilowattHour, nil
+		scale = KilowattHour
 	default:
 		return 0, fmt.Errorf("units: parsing energy %q: unknown unit %q", s, unit)
 	}
+	e := Energy(value) * scale
+	if math.IsInf(float64(e), 0) {
+		return 0, fmt.Errorf("units: parsing energy %q: out of range", s)
+	}
+	return e, nil
 }
 
 // splitQuantity separates "12.5 kW" into (12.5, "kW"); the space is

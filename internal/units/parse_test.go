@@ -19,6 +19,7 @@ func TestParsePower(t *testing.T) {
 		{"250mW", 0.25},
 		{"-5 W", -5},
 		{"1e3 W", 1000},
+		{"1e308 W", 1e308},
 	}
 	for _, c := range cases {
 		got, err := ParsePower(c.in)
@@ -30,7 +31,8 @@ func TestParsePower(t *testing.T) {
 			t.Errorf("ParsePower(%q) = %v, want %v", c.in, got.Watts(), c.want)
 		}
 	}
-	for _, bad := range []string{"", "watts", "12 parsec", "1.2.3 W", "kW"} {
+	// The last three overflow to ±Inf: the number itself, or the unit.
+	for _, bad := range []string{"", "watts", "12 parsec", "1.2.3 W", "kW", "1e400 W", "1e308 kW", "-1e308 MW"} {
 		if _, err := ParsePower(bad); err == nil {
 			t.Errorf("ParsePower(%q) accepted", bad)
 		}
@@ -58,8 +60,10 @@ func TestParseFrequency(t *testing.T) {
 			t.Errorf("ParseFrequency(%q) = %v, want %v", c.in, got.Hz(), c.want)
 		}
 	}
-	if _, err := ParseFrequency("2.1 THz"); err == nil {
-		t.Error("unknown unit accepted")
+	for _, bad := range []string{"2.1 THz", "1e308 GHz", "-1e308 kHz"} {
+		if _, err := ParseFrequency(bad); err == nil {
+			t.Errorf("ParseFrequency(%q) accepted", bad)
+		}
 	}
 }
 
@@ -86,8 +90,10 @@ func TestParseEnergy(t *testing.T) {
 			t.Errorf("ParseEnergy(%q) = %v, want %v", c.in, got.Joules(), c.want)
 		}
 	}
-	if _, err := ParseEnergy("3 BTU"); err == nil {
-		t.Error("unknown unit accepted")
+	for _, bad := range []string{"3 BTU", "1e308 kWh", "-1e308 MJ"} {
+		if _, err := ParseEnergy(bad); err == nil {
+			t.Errorf("ParseEnergy(%q) accepted", bad)
+		}
 	}
 }
 
@@ -114,4 +120,20 @@ func TestParseRoundTripsString(t *testing.T) {
 			t.Errorf("round trip %q = %v", f.String(), got)
 		}
 	}
+}
+
+// FuzzParsePower fuzzes the power-string trust boundary (budgets, tenant
+// quotas): for any input, ParsePower either errors or returns a finite
+// value — it never panics and never hands out an infinity or NaN. The seed
+// corpus lives in testdata/fuzz/FuzzParsePower.
+func FuzzParsePower(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePower(s)
+		if err != nil {
+			return
+		}
+		if w := p.Watts(); math.IsInf(w, 0) || math.IsNaN(w) {
+			t.Fatalf("ParsePower(%q) = %v, want an error for a non-finite value", s, w)
+		}
+	})
 }

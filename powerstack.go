@@ -173,16 +173,6 @@ const (
 	EmergencyKill     = facility.EmergencyKill
 )
 
-// The facility simulation cores, for FacilityConfig.Engine: the
-// discrete-event engine (the default) jumps the virtual clock between
-// arrivals, completions, faults, and telemetry samples; the fixed-tick
-// loop is the compatibility mode the event engine is golden-tested
-// against.
-const (
-	FacilityEngineEvent = facility.EngineEvent
-	FacilityEngineTick  = facility.EngineTick
-)
-
 // GenerateFaults builds a deterministic fault plan over the given node IDs:
 // the same seed and options always yield the same plan.
 func GenerateFaults(nodeIDs []string, opts FaultGenOptions) *FaultPlan {
